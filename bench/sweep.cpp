@@ -54,6 +54,7 @@
 
 #include "bench_support.hpp"
 #include "campaign/campaign.hpp"
+#include "campaign/executor.hpp"
 #include "sweep/engine.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
@@ -206,7 +207,8 @@ int main(int argc, char** argv) {
     g_active.store(nullptr, std::memory_order_relaxed);
     std::cout << "sweep '" << spec.name << "' shard " << options.shard_index
               << "/" << options.shard_count << ": " << result.executed
-              << " executed (" << options.jobs << " jobs, "
+              << " executed (" << campaign::resolve_jobs(options.jobs)
+              << " jobs, "
               << result.split_cells << " split, " << result.shards
               << " units), " << result.restored << " restored, "
               << result.discarded << " discarded, graph cache "

@@ -75,6 +75,20 @@ else
   echo "bench gate: skipped under --sanitize"
 fi
 
+# Benchmark contract: perfbench/ compiles against public headers (the
+# NeighborTable rows, View, Campaign) and checks the program's outputs, so
+# a traced large-graphs run must build and end with "correct": true. It
+# builds its own copy under .bench_build/, so the sanitizer leg skips it.
+if [[ "$SANITIZE" == 0 ]]; then
+  BENCH_LAST=$(cd "$ROOT" && python3 perfbench/run.py \
+               --workload large-graphs --seconds 3 --trace 1 | tail -n 1)
+  if [[ "$BENCH_LAST" != *'"correct": true'* ]]; then
+    echo "perfbench large-graphs: not correct: $BENCH_LAST" >&2
+    exit 1
+  fi
+  echo "perfbench large-graphs: correct"
+fi
+
 # Sweep smoke: run a tiny campaign uninterrupted, then again "killed"
 # after 2 cells (--max-cells is the deterministic stand-in for a mid-
 # campaign kill; the workflow also does a real kill -9) and resumed on a

@@ -15,7 +15,7 @@ sim::Action ExploreAgent::step(const sim::View& view) {
   FNR_ASSERT(path_.back() == view.here());
 
   // Descend to the smallest-ID unvisited neighbor, if any.
-  const auto& neighbors = view.neighbor_ids();
+  const auto neighbors = view.neighbor_ids();
   graph::VertexId best = 0;
   bool found = false;
   for (const auto id : neighbors) {

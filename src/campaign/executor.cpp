@@ -161,6 +161,10 @@ CellResult assemble(const SweepCell& cell, CellState& state) {
 
 }  // namespace
 
+unsigned resolve_jobs(unsigned jobs) {
+  return jobs != 0 ? jobs : std::max(1u, std::thread::hardware_concurrency());
+}
+
 CellExecutor::CellExecutor(ExecutorOptions options)
     : options_(std::move(options)) {}
 
@@ -170,8 +174,7 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
   ExecutorStats stats;
   GraphCache cache(options_.graph_cache_capacity);
 
-  unsigned jobs = options_.jobs;
-  if (jobs == 0) jobs = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned jobs = resolve_jobs(options_.jobs);
 
   // --- jobs == 1: inline on the calling thread — the reference path the
   // parallel one is pinned against (no pool, no staging, no split cells).

@@ -66,6 +66,10 @@ struct ExecutorOptions {
   std::size_t graph_cache_capacity = 12;
 };
 
+/// The worker-pool size a `jobs` option means: itself, or the hardware
+/// thread count (at least 1) for 0.
+[[nodiscard]] unsigned resolve_jobs(unsigned jobs);
+
 /// Telemetry of one CellExecutor::run (feeds CampaignRun).
 struct ExecutorStats {
   std::uint64_t executed = 0;   ///< cells completed *and* emitted

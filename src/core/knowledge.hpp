@@ -16,6 +16,7 @@
 // are identical to the set-only representation.
 #pragma once
 
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -28,13 +29,13 @@ namespace fnr::core {
 class Knowledge {
  public:
   void init_home(graph::VertexId home,
-                 const std::vector<graph::VertexId>& neighbor_ids) {
+                 std::span<const graph::VertexId> neighbor_ids) {
     home_ = home;
     for (const auto id : home_closed_) clear_bit(home_mask_, id);
     home_closed_.clear();
     home_closed_.insert(home);
     set_bit(home_mask_, home);
-    home_neighbors_ = neighbor_ids;
+    home_neighbors_.assign(neighbor_ids.begin(), neighbor_ids.end());
     for (const auto id : neighbor_ids) {
       home_closed_.insert(id);
       set_bit(home_mask_, id);
@@ -85,7 +86,7 @@ class Knowledge {
   /// Absorbs N+(x) for a newly adopted x ∈ N+(home); returns the vertices
   /// that are new to NS (the Γ of the next optimistic Sample run).
   std::vector<graph::VertexId> absorb_neighborhood(
-      graph::VertexId x, const std::vector<graph::VertexId>& x_neighbors) {
+      graph::VertexId x, std::span<const graph::VertexId> x_neighbors) {
     std::vector<graph::VertexId> fresh;
     auto add = [&](graph::VertexId w) {
       if (!test_bit(ns_mask_, w)) {

@@ -59,6 +59,14 @@ class Graph {
             adjacency_.data() + offsets_[v + 1]};
   }
 
+  /// CSR offsets, n+1 entries: v's adjacency slots are
+  /// [offsets()[v], offsets()[v + 1]), and slot offsets()[v] + port is the
+  /// directed edge (v, neighbors(v)[port]). Per-slot tables (NeighborTable)
+  /// index by this instead of keeping their own copy.
+  [[nodiscard]] std::span<const std::uint64_t> offsets() const noexcept {
+    return offsets_;
+  }
+
   /// The neighbor behind port `port` of vertex v (ˆP_v(port)).
   [[nodiscard]] VertexIndex neighbor_at_port(VertexIndex v,
                                              std::size_t port) const {

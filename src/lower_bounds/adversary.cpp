@@ -217,7 +217,8 @@ class LexSweep final : public DeterministicAgent {
   graph::VertexId choose_move(const DetView& view) override {
     if (!init_) {
       home_ = view.here;
-      targets_ = view.neighbors;  // already ascending
+      targets_.assign(view.neighbors.begin(),
+                      view.neighbors.end());  // already ascending
       init_ = true;
     }
     if (view.here != home_) return home_;  // bounce back

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,7 +31,7 @@ namespace fnr::lower_bounds {
 /// is the point; there is no RNG anywhere in this interface.)
 struct DetView {
   graph::VertexId here = 0;
-  const std::vector<graph::VertexId>& neighbors;
+  std::span<const graph::VertexId> neighbors;
   std::uint64_t round = 0;
 };
 

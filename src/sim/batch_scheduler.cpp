@@ -201,7 +201,7 @@ std::vector<ScenarioRunResult> BatchScheduler::run() {
         // Precomputed port_to(to, from): one load instead of a binary
         // search over to's neighbor list (the scalar scheduler's hottest
         // per-move cost).
-        arrival_[base + i] = table_.rev[from][port];
+        arrival_[base + i] = table_.reverse_port(from, port);
         ++res.agents[i].moves;
       }
       live_[keep++] = t;  // still running next round

@@ -80,8 +80,7 @@ void Scheduler::ensure_arena(std::size_t k) {
       view.graph_ = &graph_;
       view.boards_ = model_.whiteboards ? &boards_ : nullptr;
       // Neighborhood observations answer from the shared per-graph table
-      // (observationally identical to the old per-View lazy cache, without
-      // a per-view max-degree reservation — which matters at massive k).
+      // (no per-view neighbor storage, which matters at massive k).
       view.shared_ids_ = &table_;
     }
   }
@@ -187,7 +186,7 @@ RunResult Scheduler::run(Agent& agent_a, Agent& agent_b, Placement placement,
       }
       const graph::VertexIndex from = pos[i];
       pos[i] = graph_.neighbor_at_port(from, port);
-      arrival[i] = table_.rev[from][port];
+      arrival[i] = table_.reverse_port(from, port);
       ++result.metrics.moves[i];
     }
   }
@@ -389,7 +388,7 @@ ScenarioRunResult Scheduler::run_scenario(const std::vector<Agent*>& agents,
         continue;
       }
       pos_[i] = to;
-      arrival_port_[i] = table_.rev[from][port];
+      arrival_port_[i] = table_.reverse_port(from, port);
       ++result.agents[i].moves;
       if (occupancy) {
         // Each move is two O(1) count updates; the threshold counter moves
@@ -449,7 +448,7 @@ RunResult Scheduler::run_single(Agent& agent, graph::VertexIndex start,
     } else {
       const graph::VertexIndex from = pos;
       pos = graph_.neighbor_at_port(from, action.move_port);
-      arrival_port = table_.rev[from][action.move_port];
+      arrival_port = table_.reverse_port(from, action.move_port);
       ++result.metrics.moves[0];
     }
   }

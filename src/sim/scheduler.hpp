@@ -34,8 +34,8 @@
 // Scheduler and is reset (not reallocated) at the start of each run, so
 // repeated trials on one Scheduler perform zero heap allocation after the
 // first (warm-up) run. Views observe through one shared NeighborTable per
-// arena (same values and order as the per-View lazy cache it replaces) and
-// moves resolve arrival ports from the table's precomputed rev array.
+// arena, and moves resolve arrival ports with one load from the table's
+// flat per-slot rev array.
 // Scheduler::run additionally takes a branch-light two-agent fast path with
 // no per-run vectors at all. tests/test_alloc_guard.cpp enforces these
 // invariants; docs/PERFORMANCE.md and docs/ARCHITECTURE.md document them.
@@ -195,8 +195,8 @@ class Scheduler {
   Model model_;
   Whiteboards boards_;
   // Shared per-graph observation table (neighbor IDs, precomputed arrival
-  // ports): every View answers from it, and moves look arrival ports up in
-  // rev instead of a per-move binary search.
+  // ports): every View answers from it, and moves look arrival ports up by
+  // CSR slot instead of a per-move binary search.
   NeighborTable table_;
   fault::FaultSession* faults_ = nullptr;  // non-owning; null = reliable
   MeetingDetection detection_ = MeetingDetection::Auto;

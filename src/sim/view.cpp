@@ -5,37 +5,28 @@
 
 namespace fnr::sim {
 
-const std::vector<graph::VertexId>& View::neighbor_ids() const {
+std::span<const graph::VertexId> View::neighbor_ids() const {
   FNR_CHECK_MSG(model_.neighborhood_ids,
                 "model does not grant access to neighborhood IDs");
-  FNR_CHECK(graph_ != nullptr);
-  if (shared_ids_ != nullptr) return shared_ids_->ids[here_index_];
-  if (neighbor_ids_vertex_ != here_index_) {
-    const auto nbrs = graph_->neighbors(here_index_);
-    neighbor_ids_cache_.resize(nbrs.size());
-    for (std::size_t port = 0; port < nbrs.size(); ++port)
-      neighbor_ids_cache_[port] = graph_->id_of(nbrs[port]);
-    neighbor_ids_vertex_ = here_index_;
-  }
-  return neighbor_ids_cache_;
+  FNR_CHECK(shared_ids_ != nullptr);
+  return shared_ids_->ids[here_index_];
 }
 
 std::size_t View::port_of(graph::VertexId id) const {
   FNR_CHECK_MSG(model_.neighborhood_ids,
                 "model does not grant access to neighborhood IDs");
-  FNR_CHECK(graph_ != nullptr);
+  FNR_CHECK(shared_ids_ != nullptr);
+  const NeighborTable& table = *shared_ids_;
   const graph::VertexIndex target =
-      (shared_ids_ != nullptr && !shared_ids_->index_by_id.empty())
-          ? (id < shared_ids_->index_by_id.size()
-                 ? shared_ids_->index_by_id[id]
-                 : graph::kNoVertex)
+      !table.index_by_id.empty()
+          ? (id < table.index_by_id.size() ? table.index_by_id[id]
+                                           : graph::kNoVertex)
           : graph_->try_index_of(id);
   FNR_CHECK_MSG(target != graph::kNoVertex,
                 "ID " << id << " names no vertex");
-  if (shared_ids_ != nullptr && !shared_ids_->port_by_pair.empty()) {
+  if (!table.port_by_pair.empty()) {
     const std::uint16_t port =
-        shared_ids_
-            ->port_by_pair[here_index_ * shared_ids_->num_vertices + target];
+        table.port_by_pair[here_index_ * table.num_vertices + target];
     if (port != NeighborTable::kNoPort) return port;
     // Not an edge: fall through so the graph raises the canonical error.
   }

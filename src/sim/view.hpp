@@ -8,15 +8,15 @@
 // lower-bound experiments rely on this enforcement: an algorithm written
 // against View physically cannot use what the model withholds.
 //
-// Views are arena objects: the Scheduler keeps one View per agent alive for
-// the whole run and re-points it each round, so the neighbor-ID cache
-// persists across rounds (and across runs on the same graph) and the hot
-// loop performs no heap allocation after warm-up.
+// Views are arena objects: the scheduler keeps one View per agent alive for
+// the whole run and re-points it each round. Neighborhood observations
+// answer from the scheduler's NeighborTable, so the hot loop performs no
+// heap allocation after warm-up.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "graph/graph.hpp"
 #include "sim/model.hpp"
@@ -63,11 +63,10 @@ class View {
     return model_.whiteboards;
   }
 
-  /// IDs of the current vertex's neighbors, indexed by port. Filled lazily
-  /// and cached per vertex, so rounds that never inspect the neighborhood
-  /// cost O(1) and an agent camping on one vertex fills the cache once.
+  /// IDs of the current vertex's neighbors, indexed by port: a row of the
+  /// scheduler's NeighborTable, valid while the scheduler lives.
   /// Throws CheckError unless the model grants neighborhood IDs.
-  [[nodiscard]] const std::vector<graph::VertexId>& neighbor_ids() const;
+  [[nodiscard]] std::span<const graph::VertexId> neighbor_ids() const;
 
   /// Port leading to the neighbor with ID `id`; requires KT1 and that `id`
   /// names a neighbor of the current vertex. (Computed via the graph's index
@@ -105,16 +104,9 @@ class View {
   fault::FaultSession* faults_ = nullptr;
   graph::VertexIndex here_index_ = graph::kNoVertex;
   std::optional<std::size_t> arrival_port_;
-  // Graph-wide observation table shared across lock-stepped trials, or
-  // null (the scalar path). When set, neighbor_ids()/port_of() answer from
-  // it — observationally identical to the lazy cache, just precomputed once
-  // per graph instead of once per (View, vertex).
+  // The scheduler's per-graph observation table; neighbor_ids() and
+  // port_of() answer from it. Both schedulers install it before any step.
   const NeighborTable* shared_ids_ = nullptr;
-  // Neighbor-ID cache, keyed by the vertex it was filled for. The graph is
-  // immutable, so entries stay valid across rounds and runs; capacity is
-  // reserved to the graph's max degree so refills never allocate.
-  mutable std::vector<graph::VertexId> neighbor_ids_cache_;
-  mutable graph::VertexIndex neighbor_ids_vertex_ = graph::kNoVertex;
 };
 
 /// What an agent does in a round: optionally write the current vertex's

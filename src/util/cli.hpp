@@ -4,12 +4,12 @@
 // that typos in experiment sweeps fail loudly instead of silently running
 // the default configuration. Malformed values are also errors: empty values
 // (`--trials=`), trailing garbage, and out-of-range numbers all throw
-// instead of silently parsing to 0 or clamping.
+// instead of silently parsing to 0 or clamping. `--help` prints every
+// declared option with its default and exits 0.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 
 namespace fnr {
@@ -35,13 +35,18 @@ class Cli {
   /// meant *on*; unrecognized spellings are now rejected).
   [[nodiscard]] bool get_flag(const std::string& name);
 
-  /// Call after all get_* declarations; throws if the user passed an option
-  /// that was never declared.
+  /// Call after all get_* declarations. On `--help`, prints usage() to
+  /// stdout and exits 0; otherwise throws if the user passed an option that
+  /// was never declared.
   void reject_unknown() const;
 
+  /// One line per declared option, `--name  (default: fallback)`.
+  [[nodiscard]] std::string usage() const;
+
  private:
+  std::string program_;
   std::map<std::string, std::string> values_;
-  std::set<std::string> declared_;
+  std::map<std::string, std::string> declared_;  ///< name -> default, shown
 };
 
 }  // namespace fnr

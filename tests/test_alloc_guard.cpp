@@ -7,6 +7,8 @@
 //      once the arena is warm.
 //   2. run_scenario's per-ROUND loop is allocation-free: a 64x-longer run
 //      allocates exactly as much as a short one (only the per-run result).
+//   3. Building a NeighborTable allocates a constant number of flat arrays,
+//      whatever the vertex count (no per-vertex rows).
 // Plus bit-exactness regressions for arena reuse (a reused scheduler must
 // reproduce a fresh scheduler's run exactly, including after a k-downsize).
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 
 #include "fault/fault.hpp"
 #include "graph/generators.hpp"
+#include "sim/neighbor_table.hpp"
 #include "sim/scheduler.hpp"
 #include "util/rng.hpp"
 
@@ -65,7 +68,7 @@ namespace fnr {
 namespace {
 
 /// Heap-free agent that exercises every hot-path observation: whiteboard
-/// read + periodic write, neighbor-ID cache, arrival port, and movement.
+/// read + periodic write, neighbor IDs, arrival port, and movement.
 class ProbeAgent final : public sim::Agent {
  public:
   sim::Action step(const sim::View& view) override {
@@ -260,6 +263,25 @@ TEST(SchedulerArena, ScratchRebuildsOnlyOnGraphOrModelChange) {
   EXPECT_FALSE(no_wb.model().whiteboards);
   sim::Scheduler& other = scratch.scheduler_for(h, sim::Model::full());
   EXPECT_EQ(&other.graph(), &h);
+}
+
+TEST(AllocGuard, NeighborTableBuildAllocatesAConstantNumberOfArrays) {
+  // Allocations of one table build, not counting the n² pair table, which
+  // only graphs of at most 2048 vertices get. The rest is ids, rev,
+  // index_by_id and the build cursor at any n; a table with one row vector
+  // per vertex would count thousands here.
+  const auto build_allocations = [](std::size_t n) {
+    Rng rng(5, 17);
+    const auto g = graph::make_near_regular(n, 8, rng);
+    const auto before = allocation_count();
+    const sim::NeighborTable table(g);
+    const auto allocations = allocation_count() - before;
+    return allocations - (table.port_by_pair.empty() ? 0 : 1);
+  };
+  const auto small = build_allocations(1024);
+  const auto large = build_allocations(16384);
+  EXPECT_EQ(small, large);
+  EXPECT_LE(large, 4u);
 }
 
 }  // namespace

@@ -107,8 +107,8 @@ TEST(BatchKernel, MatchesScalarSchedulerTrialByTrial) {
 }
 
 TEST(BatchKernel, SharedTableServesExactNeighborViews) {
-  // A batched agent must observe the identical neighbor-ID sequence and
-  // port mapping the scalar lazy cache produces (same IDs, same order).
+  // A batched agent must observe the neighbor-ID sequence and ID index the
+  // graph defines (same IDs, same port order).
   Rng graph_rng(23, 17);
   const auto g = graph::make_near_regular(32, 5, graph_rng);
   const sim::NeighborTable table(g);

@@ -277,6 +277,29 @@ TEST(Cli, RejectsUnknownOption) {
   EXPECT_THROW(cli.reject_unknown(), CheckError);
 }
 
+TEST(Cli, UsageListsDeclaredOptionsWithDefaults) {
+  const char* argv[] = {"prog"};
+  Cli cli(1, argv);
+  (void)cli.get_int("jobs", 1);
+  (void)cli.get_double("rate", 0.5);
+  (void)cli.get_string("out", "auto");
+  (void)cli.get_flag("quiet");
+  EXPECT_EQ(cli.usage(),
+            "usage: prog [--name=value | --flag]...\n"
+            "  --jobs  (default: 1)\n"
+            "  --out  (default: 'auto')\n"
+            "  --quiet  (default: off)\n"
+            "  --rate  (default: 0.5)\n"
+            "  --help  (print this list and exit)\n");
+}
+
+TEST(Cli, HelpPrintsUsageAndExitsZero) {
+  const char* argv[] = {"prog", "--help", "--not-declared=1"};
+  Cli cli(3, argv);
+  (void)cli.get_int("jobs", 1);
+  EXPECT_EXIT(cli.reject_unknown(), ::testing::ExitedWithCode(0), "");
+}
+
 TEST(Cli, RejectsMalformedNumbers) {
   const char* argv[] = {"prog", "--n=12x"};
   Cli cli(2, argv);
