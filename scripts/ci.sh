@@ -35,8 +35,11 @@ done
 
 ROOT=$(pwd)
 
+# An explicit job count: a bare -j starts every compile at once, which on a
+# fresh sanitizer build is dozens of compilers and most of the host's memory.
+JOBS=$(( $(nproc) < 4 ? $(nproc) : 4 ))
 cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}"
-cmake --build "$BUILD_DIR" -j
+cmake --build "$BUILD_DIR" -j "$JOBS"
 cd "$BUILD_DIR"
 
 # ThreadSanitizer leg: instrumentation is 5-15x, so it runs exactly the
@@ -77,16 +80,20 @@ fi
 
 # Benchmark contract: perfbench/ compiles against public headers (the
 # NeighborTable rows, View, Campaign) and checks the program's outputs, so
-# a traced large-graphs run must build and end with "correct": true. It
+# a traced run must build and end with "correct": true. large-graphs covers
+# the paper programs at n=2^17; swarm-gather is the only check that runs
+# explore-rally at k=256 (span, own loop and Campaign must agree). It
 # builds its own copy under .bench_build/, so the sanitizer leg skips it.
 if [[ "$SANITIZE" == 0 ]]; then
-  BENCH_LAST=$(cd "$ROOT" && python3 perfbench/run.py \
-               --workload large-graphs --seconds 3 --trace 1 | tail -n 1)
-  if [[ "$BENCH_LAST" != *'"correct": true'* ]]; then
-    echo "perfbench large-graphs: not correct: $BENCH_LAST" >&2
-    exit 1
-  fi
-  echo "perfbench large-graphs: correct"
+  for WORKLOAD in large-graphs swarm-gather; do
+    BENCH_LAST=$(cd "$ROOT" && python3 perfbench/run.py \
+                 --workload "$WORKLOAD" --seconds 3 --trace 1 | tail -n 1)
+    if [[ "$BENCH_LAST" != *'"correct": true'* ]]; then
+      echo "perfbench $WORKLOAD: not correct: $BENCH_LAST" >&2
+      exit 1
+    fi
+    echo "perfbench $WORKLOAD: correct"
+  done
 fi
 
 # Sweep smoke: run a tiny campaign uninterrupted, then again "killed"

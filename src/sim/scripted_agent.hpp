@@ -8,8 +8,8 @@
 // writes, waits). Requires the KT1 model because moves are addressed by ID.
 #pragma once
 
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "sim/view.hpp"
 
@@ -34,20 +34,20 @@ class ScriptedAgent : public Agent {
       last_move_.reset();
     }
 
-    if (ops_.empty()) on_idle(view);
-    if (ops_.empty()) return Action::stay();
+    if (plan_empty()) on_idle(view);
+    if (plan_empty()) return Action::stay();
 
-    Op op = ops_.front();
-    ops_.pop_front();
+    const Op op = ops_[head_];
 
     if (op.wait_until.has_value()) {
-      // Hold position until the given absolute round; re-arm while early.
-      if (view.round() + 1 < *op.wait_until) ops_.push_front(op);
+      // Hold position until the given absolute round; stay armed while early.
+      if (view.round() + 1 >= *op.wait_until) pop_front();
       Action action = Action::stay();
       action.whiteboard_write = op.write;
       return action;
     }
 
+    pop_front();
     Action action;
     action.whiteboard_write = op.write;
     if (op.move_to.has_value()) {
@@ -60,7 +60,7 @@ class ScriptedAgent : public Agent {
   /// Plan storage, two words per queued operation (subclasses add their
   /// own state on top).
   [[nodiscard]] std::size_t memory_words() const override {
-    return ops_.size() * 2;
+    return (ops_.size() - head_) * 2;
   }
 
  protected:
@@ -96,9 +96,14 @@ class ScriptedAgent : public Agent {
   }
 
   /// True when no operations are queued (on_idle will run next round).
-  [[nodiscard]] bool plan_empty() const noexcept { return ops_.empty(); }
+  [[nodiscard]] bool plan_empty() const noexcept {
+    return head_ == ops_.size();
+  }
   /// Drops every queued operation (e.g. on a protocol restart).
-  void plan_clear() noexcept { ops_.clear(); }
+  void plan_clear() noexcept {
+    ops_.clear();
+    head_ = 0;
+  }
 
  private:
   struct Op {
@@ -106,7 +111,16 @@ class ScriptedAgent : public Agent {
     std::optional<std::uint64_t> write;
     std::optional<std::uint64_t> wait_until;
   };
-  std::deque<Op> ops_;
+  /// Consumes the front operation. The drained plan is cleared, not
+  /// freed, so refilling it reuses the same storage: an agent that plans
+  /// one hop at a time (a DFS) allocates once, not once per few hops.
+  void pop_front() noexcept {
+    if (++head_ == ops_.size()) plan_clear();
+  }
+
+  // The plan is ops_[head_, size); on_idle only runs on an empty plan.
+  std::vector<Op> ops_;
+  std::size_t head_ = 0;
   /// Target of the last issued move, pending arrival confirmation (churn
   /// blocks traversals; the hop is retried until the agent stands there).
   std::optional<graph::VertexId> last_move_;

@@ -9,6 +9,8 @@
 //      allocates exactly as much as a short one (only the per-run result).
 //   3. Building a NeighborTable allocates a constant number of flat arrays,
 //      whatever the vertex count (no per-vertex rows).
+//   4. An explore-rally walk allocates a constant number of times, whatever
+//      the vertex count (no per-vertex map nodes or row copies).
 // Plus bit-exactness regressions for arena reuse (a reused scheduler must
 // reproduce a fresh scheduler's run exactly, including after a k-downsize).
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "baselines/gather.hpp"
 #include "fault/fault.hpp"
 #include "graph/generators.hpp"
 #include "sim/neighbor_table.hpp"
@@ -282,6 +285,33 @@ TEST(AllocGuard, NeighborTableBuildAllocatesAConstantNumberOfArrays) {
   const auto large = build_allocations(16384);
   EXPECT_EQ(small, large);
   EXPECT_LE(large, 4u);
+}
+
+TEST(AllocGuard, ExploreRallyAllocatesAConstantNumberOfTimes) {
+  // One explore-rally walk sizes its learned map once, from the n the
+  // model grants, and borrows neighbor rows from the scheduler's table, so
+  // its allocation count does not grow with n. A map with a vector or a
+  // hash node per vertex would count thousands more at the larger size.
+  const auto walk_allocations = [](std::size_t n) {
+    Rng rng(5, 17);
+    const auto g = graph::make_near_regular(n, 16, rng);
+    sim::Scheduler scheduler(g, sim::Model::full());
+    baselines::GatherAtMinAgent agent;
+    const auto before = allocation_count();
+    (void)scheduler.run_single(agent, 1, 8 * n);
+    const auto allocations = allocation_count() - before;
+    EXPECT_TRUE(agent.arrived()) << "n = " << n;
+    EXPECT_EQ(agent.visited_count(), n);
+    return allocations;
+  };
+  // The only size-dependent allocations are the rally route's: the hop
+  // list and the plan it fills grow by doubling with the route's length,
+  // which is at most the diameter (small on both graphs).
+  constexpr std::uint64_t kRallySlack = 4;
+  const auto small = walk_allocations(1024);
+  const auto large = walk_allocations(16384);
+  EXPECT_LE(small, large + kRallySlack);
+  EXPECT_LE(large, small + kRallySlack);
 }
 
 }  // namespace

@@ -357,17 +357,35 @@ TEST(ScenarioPrograms, ExploreRallyGathersEveryone) {
 
 TEST(ScenarioPrograms, ExploreRallyEndsOnTheMinimumId) {
   // Alone (nobody to meet en route), the agent must finish exactly on the
-  // globally smallest ID — vertex 0 under identity naming.
+  // globally smallest ID: vertex 0 under identity naming, an arbitrary
+  // vertex under shuffled IDs, and under sparse IDs (bound 64^3 >> n) a map
+  // indexed by ID would be the wrong size. On arrival the plan is empty and
+  // the agent knows every row: 4 scalar words, 1 + deg per row (n + 2m), 2
+  // per discovered and 2 per visited vertex (4n), so memory_words() must be
+  // 4 + 5n + 2m.
   Rng graph_rng(13, 1);
-  const auto g = graph::make_watts_strogatz(64, 3, 0.2, graph_rng);
-  sim::Scheduler scheduler(g, sim::Model::full());
-  for (const graph::VertexIndex start : {0u, 5u, 17u, 63u}) {
-    baselines::GatherAtMinAgent agent;
-    const auto result =
-        scheduler.run_single(agent, start, 8 * g.num_vertices());
-    EXPECT_TRUE(agent.arrived()) << "start " << start;
-    EXPECT_EQ(agent.visited_count(), g.num_vertices());
-    EXPECT_EQ(result.meeting_vertex, 0u) << "start " << start;
+  const auto base = graph::make_watts_strogatz(64, 3, 0.2, graph_rng);
+  Rng id_rng(29, 2);
+  const auto sparse = graph::sparse_ids(base.num_vertices(), 3.0, id_rng);
+  ASSERT_GT(sparse.bound, 64u * base.num_vertices());
+  const auto shuffled = graph::shuffled_ids(base.num_vertices(), id_rng);
+  for (const auto& g : {graph::with_ids(base, graph::identity_ids(64)),
+                        graph::with_ids(base, sparse),
+                        graph::with_ids(base, shuffled)}) {
+    const std::size_t n = g.num_vertices();
+    graph::VertexIndex min_vertex = 0;
+    for (graph::VertexIndex v = 1; v < n; ++v)
+      if (g.id_of(v) < g.id_of(min_vertex)) min_vertex = v;
+    sim::Scheduler scheduler(g, sim::Model::full());
+    for (const graph::VertexIndex start : {0u, 5u, 17u, 63u}) {
+      baselines::GatherAtMinAgent agent;
+      const auto result = scheduler.run_single(agent, start, 8 * n);
+      EXPECT_TRUE(agent.arrived()) << g.describe() << ", start " << start;
+      EXPECT_EQ(result.meeting_vertex, min_vertex) << g.describe();
+      EXPECT_EQ(agent.visited_count(), n);
+      EXPECT_EQ(agent.memory_words(), 4 + 5 * n + 2 * g.num_edges())
+          << g.describe() << ", start " << start;
+    }
   }
 }
 
